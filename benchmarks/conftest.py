@@ -1,7 +1,8 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one paper table/figure, prints the same
-rows/series the paper reports, and asserts the shape claims hold.  Run with
+``test_registry.py`` regenerates every registered experiment, prints the
+same rows/series the paper reports, and asserts the shape claims hold.  Run
+with
 
     pytest benchmarks/ --benchmark-only -s
 

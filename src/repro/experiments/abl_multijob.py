@@ -13,11 +13,11 @@ systems reject jobs, and utilization stays high (first-fit packing).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.analysis.cost import cost_breakdown
-from repro.core.scheduler import FleetScheduler, TrainingJob
 from repro.core.systems import DisaggCpuSystem, PreStoSystem
+from repro.errors import ProvisioningError
 from repro.experiments.common import (
     ExperimentResult,
     PaperClaim,
@@ -37,13 +37,19 @@ DEFAULT_MIX: Tuple[Tuple[str, int], ...] = (
 )
 
 
-def build_jobs(mix: Tuple[Tuple[str, int], ...] = DEFAULT_MIX) -> List[TrainingJob]:
-    """Materialize the job list from a (model, count) mix."""
-    jobs: List[TrainingJob] = []
-    for model, count in mix:
-        for i in range(count):
-            jobs.append(TrainingJob(job_id=f"{model.lower()}-job{i}", spec=get_model(model)))
-    return jobs
+def first_fit(demands: Sequence[int], capacity: int) -> Tuple[int, int]:
+    """Admit jobs in order while the pool has room: ``(workers_used, rejected)``.
+
+    A job that does not fit is skipped, not queued, so a later smaller job
+    can still be admitted.
+    """
+    used = rejected = 0
+    for demand in demands:
+        if used + demand <= capacity:
+            used += demand
+        else:
+            rejected += 1
+    return used, rejected
 
 
 @dataclass(frozen=True)
@@ -125,38 +131,29 @@ def run(
     calibration: Calibration = CALIBRATION,
 ) -> MultiJobResult:
     """Size and compare the two fleets for one job mix."""
-    jobs = build_jobs(mix)
+    counts = [(model, count) for model, count in mix if count > 0]
+    if not counts:
+        raise ProvisioningError("no jobs given")
 
-    def disagg_factory(spec):
-        return DisaggCpuSystem(spec, calibration)
-
-    def presto_factory(spec):
-        return PreStoSystem(spec, calibration)
-
-    results = {}
-    for name, factory in (("disagg", disagg_factory), ("presto", presto_factory)):
-        sizing = FleetScheduler(factory, pool_capacity=10**9)
-        pool = sizing.min_pool_for(jobs)
-        full = FleetScheduler(factory, pool_capacity=pool).schedule(jobs)
-        half = FleetScheduler(factory, pool_capacity=max(pool // 2, 1)).schedule(jobs)
-        results[name] = (pool, full, half)
-
-    disagg_pool, disagg_full, disagg_half = results["disagg"]
-    presto_pool, presto_full, presto_half = results["presto"]
-    return MultiJobResult(
-        num_jobs=len(jobs),
-        disagg_pool=disagg_pool,
-        presto_pool=presto_pool,
-        disagg_power=disagg_full.power_watts,
-        presto_power=presto_full.power_watts,
-        disagg_cost=cost_breakdown(
-            disagg_full.capex, disagg_full.power_watts, calibration=calibration
-        ).total,
-        presto_cost=cost_breakdown(
-            presto_full.capex, presto_full.power_watts, calibration=calibration
-        ).total,
-        rejected_at_half_disagg=len(disagg_half.rejected_jobs),
-        rejected_at_half_presto=len(presto_half.rejected_jobs),
-        half_pool_utilization_disagg=disagg_half.utilization,
-        half_pool_utilization_presto=presto_half.utilization,
-    )
+    fields = {}
+    for name, system_cls in (("disagg", DisaggCpuSystem), ("presto", PreStoSystem)):
+        systems = {m: system_cls(get_model(m), calibration) for m, _ in counts}
+        # a job's T/P demand depends only on its model: size each model once
+        per_job = {m: s.provision_for(8).num_workers for m, s in systems.items()}
+        demands = [per_job[m] for m, count in counts for _ in range(count)]
+        pool = sum(demands)  # the smallest pool that admits every job
+        half = max(pool // 2, 1)
+        half_used, half_rejected = first_fit(demands, half)
+        # the whole pool is priced by the first model's system
+        reference = systems[counts[0][0]]
+        power = reference.power(pool)
+        fields.update({
+            f"{name}_pool": pool,
+            f"{name}_power": power,
+            f"{name}_cost": cost_breakdown(
+                reference.capex(pool), power, calibration=calibration
+            ).total,
+            f"rejected_at_half_{name}": half_rejected,
+            f"half_pool_utilization_{name}": half_used / half,
+        })
+    return MultiJobResult(num_jobs=len(demands), **fields)

@@ -25,6 +25,7 @@ failing seed replays exactly.
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -90,6 +91,25 @@ def plan_for(
     return FaultPlan(seed=seed, rules=(rule,))
 
 
+def _check_serial_digest(
+    serial_digests: Dict[PreprocessJob, str],
+    job: PreprocessJob,
+    digest: str,
+    label: str,
+    violations: List[str],
+) -> None:
+    """The digest oracle: ``digest`` must equal ``job``'s serial-path digest.
+
+    ``serial_digests`` memoizes one serial run per distinct job; a
+    mismatch appends ``"<label> <digest> != serial <expected>"``.
+    """
+    expected = serial_digests.get(job)
+    if expected is None:
+        expected = serial_digests[job] = job.run(parallel=False).digest
+    if digest != expected:
+        violations.append(f"{label} {digest} != serial {expected}")
+
+
 def _submit_all(
     client, jobs: List[PreprocessJob], retries: int = 5
 ) -> int:
@@ -133,6 +153,7 @@ def run_episode(
     data plane has no serial digest to verify against); ``repro chaos``
     always runs the real runner with verification on.
     """
+    from repro.journal import JsonlJournal
     from repro.serve import JobLogIndex, PreprocessService, ServiceClient, ServiceServer
 
     plan = plan_for(fault, seed, job_timeout_s, rate=rate)
@@ -210,36 +231,23 @@ def run_episode(
         for record in records:
             if record.state != "completed":
                 continue
-            expected = serial_digests.get(record.job)
-            if expected is None:
-                expected = record.job.run(parallel=False).digest
-                serial_digests[record.job] = expected
             digests_checked += 1
-            if record.digest != expected:
-                violations.append(
-                    f"{record.job_id} digest {record.digest} != serial "
-                    f"{expected}"
-                )
+            _check_serial_digest(
+                serial_digests, record.job, record.digest,
+                f"{record.job_id} digest", violations,
+            )
 
     # the index must have survived every injected spool fault: still
     # loadable, and never more than one terminal line per job
     index_path = os.path.join(spool_dir, "jobs.jsonl")
     terminal_lines: Dict[str, int] = {}
     try:
-        for loaded in JobLogIndex(index_path).load():
-            pass
-        import json as _json
-
-        with open(index_path) as handle:
-            lines = handle.readlines()
-        for number, line in enumerate(lines, start=1):
-            text = line.strip()
-            if not text:
-                continue
+        JobLogIndex(index_path).load()
+        for number, text, complete in JsonlJournal(index_path).read():
             try:
-                payload = _json.loads(text)
+                payload = json.loads(text)
             except ValueError as exc:
-                if number == len(lines) and not line.endswith("\n"):
+                if not complete:
                     continue  # torn final append — load() tolerates it too
                 raise ReproError(f"line {number}: {exc}")
             if payload.get("state") in ("completed", "failed", "cancelled"):
@@ -272,10 +280,9 @@ def _chaos_batch_task(job: PreprocessJob) -> str:
 def _batch_task_key(index: int, job: PreprocessJob) -> str:
     """Content digest of one batch task — the journal's task identity."""
     import hashlib
-    import json as _json
 
     return hashlib.sha256(
-        _json.dumps(job.to_dict(), sort_keys=True).encode("utf-8")
+        json.dumps(job.to_dict(), sort_keys=True).encode("utf-8")
     ).hexdigest()
 
 
@@ -353,17 +360,11 @@ def run_batch_episode(
         for outcome in outcomes:
             if not outcome.ok:
                 continue
-            job = jobs[outcome.index]
-            expected = serial_digests.get(job)
-            if expected is None:
-                expected = job.run(parallel=False).digest
-                serial_digests[job] = expected
             digests_checked += 1
-            if outcome.result != expected:
-                violations.append(
-                    f"task {outcome.index} digest {outcome.result} != "
-                    f"serial {expected}"
-                )
+            _check_serial_digest(
+                serial_digests, jobs[outcome.index], outcome.result,
+                f"task {outcome.index} digest", violations,
+            )
     # invariant 3: the journal survived every injected fault — loadable,
     # and never more than one terminal line per task per run segment
     try:
@@ -406,16 +407,10 @@ def run_batch_episode(
                         f"fault-free resume: {outcome.error}"
                     )
                     continue
-                job = jobs[outcome.index]
-                expected = serial_digests.get(job)
-                if expected is None:
-                    expected = job.run(parallel=False).digest
-                    serial_digests[job] = expected
-                if outcome.result != expected:
-                    violations.append(
-                        f"task {outcome.index} resume digest "
-                        f"{outcome.result} != serial {expected}"
-                    )
+                _check_serial_digest(
+                    serial_digests, jobs[outcome.index], outcome.result,
+                    f"task {outcome.index} resume digest", violations,
+                )
 
     return {
         "fault": fault,
@@ -487,8 +482,6 @@ def run_fleet_episode(
     ``FleetResult`` JSON lands in ``spool_dir/fleet_result.json`` for CI
     artifact upload and ``repro trend record --fleet-result``.
     """
-    import json as _json
-
     from repro.fleet.simulator import FleetSimulator
     from repro.fleet.trace import generate_trace
 
@@ -548,7 +541,7 @@ def run_fleet_episode(
 
     os.makedirs(spool_dir, exist_ok=True)
     with open(os.path.join(spool_dir, "fleet_result.json"), "w") as handle:
-        _json.dump(result.to_dict(), handle, indent=1)
+        json.dump(result.to_dict(), handle, indent=1)
 
     return {
         "fault": fault,

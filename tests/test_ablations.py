@@ -1,7 +1,11 @@
 """Tests for the ablation/sensitivity experiments."""
 
+import dataclasses
+
 import pytest
 
+from repro.core.systems import PreStoSystem
+from repro.errors import ProvisioningError
 from repro.experiments import (
     abl_batch_size,
     abl_double_buffering,
@@ -10,6 +14,7 @@ from repro.experiments import (
     abl_network_sweep,
     abl_row_vs_columnar,
 )
+from repro.features.specs import get_model
 
 
 class TestRowVsColumnar:
@@ -126,6 +131,41 @@ class TestMultiJob:
         small = abl_multijob.run(mix=(("RM1", 1), ("RM5", 1)))
         assert small.num_jobs == 2
         assert small.presto_pool == 3 + 9
+
+    @pytest.mark.parametrize(
+        "models, capacity, used, rejected",
+        [
+            (("RM5", "RM1"), 100, 9 + 3, 0),
+            (("RM5", "RM5"), 10, 9, 1),
+            # the second RM5 is skipped, the later RM1 still fits
+            (("RM5", "RM5", "RM1"), 13, 9 + 3, 1),
+            # a pool of the summed demand admits all; one worker less rejects one
+            (("RM5", "RM1"), 12, 9 + 3, 0),
+            (("RM5", "RM1"), 11, 9, 1),
+        ],
+        ids=["room", "full", "later-small-fits", "summed-demand", "one-less"],
+    )
+    def test_first_fit(self, models, capacity, used, rejected):
+        # PreSto's Fig. 14 allocations: RM5 needs 9 SmartSSDs, RM1 needs 3
+        demands = [
+            PreStoSystem(get_model(m)).provision_for(8).num_workers for m in models
+        ]
+        assert abl_multijob.first_fit(demands, capacity) == (used, rejected)
+
+    @pytest.mark.parametrize(
+        "mix",
+        [(), (("RM1", 0),), (("RM1", 0), ("RM5", 0))],
+        ids=["empty", "one-zero", "all-zero"],
+    )
+    def test_empty_mix_rejected(self, mix):
+        with pytest.raises(ProvisioningError):
+            abl_multijob.run(mix=mix)
+
+    def test_zero_count_models_are_ignored(self):
+        """Zero-count entries neither add jobs nor pick the pricing system."""
+        padded = abl_multijob.run(mix=(("RM1", 0), ("RM5", 2)))
+        plain = abl_multijob.run(mix=(("RM5", 2),))
+        assert dataclasses.asdict(padded) == dataclasses.asdict(plain)
 
 
 class TestNetworkContention:
